@@ -40,18 +40,28 @@ def test_bench_figure7_placements(benchmark, case_studies):
         assert figure.improvement_percent > -5.0
 
 
-def test_bench_figure7_structure(case_studies, table1_config):
+def test_bench_figure7_structure(benchmark, case_studies, table1_config):
     """Structural properties behind Figure 7: dispersion and string uniformity."""
     from repro.experiments import build_problem
     from repro.core import greedy_floorplan, traditional_floorplan
 
-    print("\n[Fig 7] structural metrics (N = 32):")
-    for name, study in case_studies.items():
-        problem = build_problem(study, 32, table1_config.series_length)
-        suitability = compute_suitability(problem.solar)
-        traditional = traditional_floorplan(problem, suitability=suitability)
-        greedy = greedy_floorplan(problem, suitability=suitability)
+    def place_all():
+        placements = {}
+        for name, study in case_studies.items():
+            problem = build_problem(study, 32, table1_config.series_length)
+            suitability = compute_suitability(problem.solar)
+            placements[name] = (
+                problem,
+                suitability,
+                traditional_floorplan(problem, suitability=suitability),
+                greedy_floorplan(problem, suitability=suitability),
+            )
+        return placements
 
+    placements = benchmark.pedantic(place_all, rounds=1, iterations=1)
+
+    print("\n[Fig 7] structural metrics (N = 32):")
+    for name, (problem, suitability, traditional, greedy) in placements.items():
         shape_traditional = placement_shape_metrics(traditional.placement, suitability)
         shape_greedy = placement_shape_metrics(greedy.placement, suitability)
         uniformity_traditional = string_uniformity(traditional.placement, suitability)

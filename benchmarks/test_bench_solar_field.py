@@ -79,7 +79,7 @@ def _best_of(fn, repeats: int):
     return best, result
 
 
-def test_bench_solar_field_compression(tmp_path):
+def test_bench_solar_field_compression(benchmark, tmp_path):
     """Compressed assembly >= 2x, cache entry >= 1.8x smaller, bit-exact."""
     scene = build_roof_scene(_bench_roof_spec(), dsm_pitch=0.4)
     grid = suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=0.2))
@@ -94,10 +94,12 @@ def test_bench_solar_field_compression(tmp_path):
         max_distance=config.horizon_max_distance_m,
     )
 
-    compressed_s, compressed = _best_of(
+    compressed = benchmark.pedantic(
         lambda: compute_roof_solar_field(scene, grid, weather, config, horizon_map=horizon),
-        3,
+        rounds=3,
+        iterations=1,
     )
+    compressed_s = float(benchmark.stats.stats.min)
     dense_s, dense = _best_of(
         lambda: compute_roof_solar_field_dense_reference(
             scene, grid, weather, config, horizon_map=horizon
