@@ -9,10 +9,11 @@ CI's scheduled/dispatched bench job runs the suite with
 2. prints a Markdown delta table (and appends it to ``--summary``, which CI
    points at ``$GITHUB_STEP_SUMMARY`` so the table lands in the job page),
 3. writes a trajectory point (``BENCH_<run>.json``) holding the run's
-   medians plus commit metadata, archived as an artifact so the benchmark
-   history accumulates run over run.  When ``--trajectory`` is omitted the
-   point is written next to the timings file as ``BENCH_<run_id>.json``
-   (``$GITHUB_RUN_ID``, or a local timestamp outside CI) -- local runs
+   medians plus the machine and commit it ran on, archived as an artifact
+   so the benchmark history accumulates run over run.  When
+   ``--trajectory`` is omitted the point is written next to the timings
+   file as ``BENCH_<run_id>.json`` (``$GITHUB_RUN_ID``, or a local
+   timestamp outside CI) -- local runs
    accumulate history too instead of silently writing nothing.  Pass
    ``--no-trajectory`` to opt out.
 
@@ -38,12 +39,22 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baselines" / "bench-baseline.json"
 
 #: Baseline file format marker.
 BASELINE_FORMAT_VERSION = 1
+
+
+def _read_timings(timings_path: Path) -> dict:
+    """Parse a pytest-benchmark JSON; ``{}`` when missing or unparsable."""
+    if not timings_path.exists():
+        return {}
+    try:
+        return json.loads(timings_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError:
+        return {}
 
 
 def load_run_medians(timings_path: Path) -> Dict[str, float]:
@@ -54,14 +65,8 @@ def load_run_medians(timings_path: Path) -> Dict[str, float]:
     trajectory point recording that the run produced no medians, and gate
     afterwards.
     """
-    if not timings_path.exists():
-        return {}
-    try:
-        data = json.loads(timings_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        return {}
     medians: Dict[str, float] = {}
-    for bench in data.get("benchmarks", []):
+    for bench in _read_timings(timings_path).get("benchmarks", []):
         medians[bench["fullname"]] = float(bench["stats"]["median"])
     return medians
 
@@ -74,18 +79,23 @@ def load_run_extra_info(timings_path: Path) -> Dict[str, dict]:
     the trajectory point keeps percentile history alongside the medians.
     Tolerant of missing/unparsable timings, like :func:`load_run_medians`.
     """
-    if not timings_path.exists():
-        return {}
-    try:
-        data = json.loads(timings_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        return {}
     extra: Dict[str, dict] = {}
-    for bench in data.get("benchmarks", []):
+    for bench in _read_timings(timings_path).get("benchmarks", []):
         info = bench.get("extra_info") or {}
         if info:
             extra[bench["fullname"]] = info
     return extra
+
+
+def load_run_labels(timings_path: Path) -> Tuple[dict, dict]:
+    """pytest-benchmark's ``(machine_info, commit_info)`` for the run.
+
+    They say where a trajectory point was measured (host, CPU, Python) and
+    on which commit, dirty or not.  Empty dicts when the timings file is
+    missing or unparsable.
+    """
+    data = _read_timings(timings_path)
+    return data.get("machine_info") or {}, data.get("commit_info") or {}
 
 
 def load_baseline(baseline_path: Path) -> Dict[str, float]:
@@ -180,25 +190,36 @@ def default_trajectory_path(timings_path: Path) -> Path:
 
 
 def write_trajectory(
-    path: Path, medians: Dict[str, float], extra_info: Optional[Dict[str, dict]] = None
+    path: Path,
+    medians: Dict[str, float],
+    extra_info: Optional[Dict[str, dict]] = None,
+    machine_info: Optional[dict] = None,
+    commit_info: Optional[dict] = None,
 ) -> None:
-    """Write one benchmark-history point (commit metadata from CI env vars).
+    """Write one benchmark-history point.
 
     ``complete`` is False when the bench session produced no medians (it
     crashed or was interrupted), so the archived history shows the gap
     instead of silently skipping the run.  ``extra_info`` carries published
     per-benchmark figures (e.g. serve warm-hit p50/p99) verbatim.
+    ``machine_info`` and ``commit_info`` are pytest-benchmark's labels of
+    the run, copied verbatim; ``commit`` is ``$GITHUB_SHA`` on CI and the
+    benchmarked checkout's ``commit_info.id`` elsewhere.
     """
     extra_info = extra_info or {}
+    commit_info = commit_info or {}
     payload = {
         "format_version": BASELINE_FORMAT_VERSION,
-        "commit": os.environ.get("GITHUB_SHA"),
+        "commit": os.environ.get("GITHUB_SHA") or commit_info.get("id"),
         "run_id": os.environ.get("GITHUB_RUN_ID"),
         "ref": os.environ.get("GITHUB_REF"),
         "complete": bool(medians),
+        "machine_info": machine_info or {},
+        "commit_info": commit_info,
         "medians": {name: medians[name] for name in sorted(medians)},
         "extra_info": {name: extra_info[name] for name in sorted(extra_info)},
     }
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -258,7 +279,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.trajectory is not None
             else default_trajectory_path(args.timings)
         )
-        write_trajectory(trajectory, current, load_run_extra_info(args.timings))
+        machine_info, commit_info = load_run_labels(args.timings)
+        write_trajectory(
+            trajectory,
+            current,
+            load_run_extra_info(args.timings),
+            machine_info=machine_info,
+            commit_info=commit_info,
+        )
         print(f"trajectory point written to {trajectory}")
 
     if not current:

@@ -4,7 +4,7 @@ Implements the small subset of computational geometry the reproduction
 requires instead of depending on ``shapely``:
 
 * signed area / centroid / perimeter,
-* point-in-polygon (ray casting),
+* point-in-polygon (ray casting, one array predicate for points and grids),
 * axis-aligned bounding boxes,
 * convex clipping (Sutherland-Hodgman) against rectangles,
 * rasterisation onto a regular grid (cell-centre sampling).
@@ -202,20 +202,35 @@ class Polygon:
             When True (default) points lying exactly on an edge count as
             inside.
         """
-        x, y = point.x, point.y
-        n = len(self._vertices)
-        inside = False
-        for i in range(n):
-            a = self._vertices[i]
-            b = self._vertices[(i + 1) % n]
-            if _point_on_segment(point, a, b):
-                return include_boundary
-            intersects = (a.y > y) != (b.y > y)
-            if intersects:
-                x_cross = a.x + (y - a.y) * (b.x - a.x) / (b.y - a.y)
-                if x < x_cross:
-                    inside = not inside
-        return inside
+        return bool(self._contains(point.x, point.y, include_boundary))
+
+    def _contains(self, xs, ys, include_boundary: bool = True) -> np.ndarray:
+        """Point-in-polygon over the broadcast of the ``xs`` and ``ys`` arrays.
+
+        Ray casting, with points within ``1e-9`` of an edge (relative to its
+        length beyond 1 m) reported as ``include_boundary``.  The loop runs
+        over edges, never over points; each float64 expression keeps the
+        order of the scalar test this replaced, so results are bit-identical.
+        """
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        tol = 1e-9
+        inside = np.zeros(np.broadcast_shapes(xs.shape, ys.shape), dtype=bool)
+        on_edge = np.zeros_like(inside)
+        for a, b in zip(self._vertices, self._vertices[1:] + self._vertices[:1]):
+            ex, ey = b.x - a.x, b.y - a.y
+            px, py = xs - a.x, ys - a.y
+            cross = ex * py - ey * px
+            dot = px * ex + py * ey
+            on_edge |= (
+                (np.abs(cross) <= tol * max(1.0, a.distance_to(b)))
+                & (dot >= -tol)
+                & (dot <= ex**2 + ey**2 + tol)
+            )
+            if ey != 0:
+                # Horizontal edges never cross the ray, and would divide by 0.
+                crossing = (a.y > ys) != (b.y > ys)
+                inside ^= crossing & (xs < a.x + py * ex / ey)
+        return np.where(on_edge, include_boundary, inside)
 
     def translated(self, dx: float, dy: float) -> "Polygon":
         """Return a copy translated by ``(dx, dy)``."""
@@ -326,37 +341,21 @@ class Polygon:
         col_hi = min(n_cols, int(math.ceil((bbox.xmax - origin.x) / pitch)) + 1)
         row_lo = max(0, int(math.floor((bbox.ymin - origin.y) / pitch)) - 1)
         row_hi = min(n_rows, int(math.ceil((bbox.ymax - origin.y) / pitch)) + 1)
-        for row in range(row_lo, row_hi):
-            for col in range(col_lo, col_hi):
-                x0 = origin.x + col * pitch
-                y0 = origin.y + row * pitch
-                centre = Point2D(x0 + pitch / 2.0, y0 + pitch / 2.0)
-                if mode == "center":
-                    covered = self.contains_point(centre)
-                else:
-                    corners = (
-                        centre,
-                        Point2D(x0, y0),
-                        Point2D(x0 + pitch, y0),
-                        Point2D(x0, y0 + pitch),
-                        Point2D(x0 + pitch, y0 + pitch),
-                    )
-                    covered = any(self.contains_point(p) for p in corners)
-                if covered:
-                    mask[row, col] = True
+        if row_lo >= row_hi or col_lo >= col_hi:
+            return mask
+        # Lower-left cell corners: x0 by column, y0 by row (a column vector).
+        x0 = origin.x + np.arange(col_lo, col_hi) * pitch
+        y0 = (origin.y + np.arange(row_lo, row_hi) * pitch)[:, np.newaxis]
+        xc, yc = x0 + pitch / 2.0, y0 + pitch / 2.0
+        if mode == "center":
+            covered = self._contains(xc, yc)
+        else:
+            # The centre and the four corners, stacked on a leading axis.
+            xs = np.stack([xc, x0, x0 + pitch, x0, x0 + pitch])[:, np.newaxis, :]
+            ys = np.stack([yc, y0, y0, y0 + pitch, y0 + pitch])
+            covered = self._contains(xs, ys).any(axis=0)
+        mask[row_lo:row_hi, col_lo:col_hi] = covered
         return mask
-
-
-def _point_on_segment(p: Point2D, a: Point2D, b: Point2D, tol: float = 1e-9) -> bool:
-    """True when ``p`` lies on the segment ``a``-``b`` within tolerance."""
-    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-    if abs(cross) > tol * max(1.0, a.distance_to(b)):
-        return False
-    dot = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
-    if dot < -tol:
-        return False
-    squared_len = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
-    return dot <= squared_len + tol
 
 
 def _intersect_vertical(a: Point2D, b: Point2D, x: float) -> Point2D:
