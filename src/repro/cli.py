@@ -279,9 +279,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         specs = list(builtin_scenarios().values())
     cache = _cache_from_args(args)
     store = None if args.store is None else _store_from_args(args)
-    if store is None and (args.campaign is not None or args.retries):
+    if store is None and args.campaign is not None:
         raise ReproError(
-            "--campaign/--retries only apply to store-backed batches; add "
+            "--campaign only applies to store-backed batches; add "
             "--store PATH (or use `repro campaign run`)"
         )
     batch = run_batch(

@@ -34,6 +34,19 @@ failed/retried accounting plus the per-stage cache provenance of the
 points computed by this invocation.  Without a store the behaviour is the
 classic in-memory pass, where the first scenario failure raises a
 :class:`~repro.errors.ScenarioExecutionError` naming the failing point.
+
+One engine
+----------
+:func:`_drive_points` is the only code that runs an attempt, for every
+driver: in-process through :func:`execute_point`, or in the process pool
+with the watchdog, pool rebuild and dead-worker handling.  It owns the
+retry policy -- errors and timeouts share ``retries``, a dead worker
+process gets ``retries + 1`` free passes, delays come from
+:func:`retry_backoff_delay` -- and builds each failure text.  A
+:class:`_Driver` says only where points come from and where outcomes go,
+for the three point sources: the in-memory list, a campaign's own fleet
+(plus stale rows it adopts), and the claims of a
+:mod:`~repro.runner.worker` fleet member.
 """
 
 from __future__ import annotations
@@ -46,14 +59,15 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -80,8 +94,10 @@ from .store import (
     METRIC_KIND_STAGE_RECOMPUTE_TIME,
     METRIC_KIND_STAGE_TIME,
     STATUS_DONE,
+    STATUS_FAILED,
     STATUS_TIMED_OUT,
     CampaignSummary,
+    PointRecord,
     ResultStore,
     resolve_store,
 )
@@ -130,6 +146,35 @@ class _StopRequested(BaseException):
     def __init__(self, signum: int) -> None:
         super().__init__(signum)
         self.signum = signum
+
+
+@contextmanager
+def _stop_signals() -> Iterator[None]:
+    """Turn SIGINT/SIGTERM into :class:`_StopRequested` inside the block.
+
+    Handlers can only be installed from the main thread; elsewhere (tests
+    driving batches from threads) the process keeps its existing handlers.
+    The previous handlers are always restored.
+    """
+    installed: List[Tuple[int, Any]] = []
+    if threading.current_thread() is threading.main_thread():
+
+        def _stop_handler(signum: int, frame: object) -> None:
+            raise _StopRequested(signum)
+
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                installed.append((signum, signal.signal(signum, _stop_handler)))
+            except (ValueError, OSError):  # pragma: no cover - exotic platforms
+                pass
+    try:
+        yield
+    finally:
+        for signum, previous in installed:
+            try:
+                signal.signal(signum, previous)
+            except (ValueError, OSError):  # pragma: no cover
+                pass
 
 
 def _worker_init() -> None:
@@ -387,77 +432,275 @@ def _point_error_message(name: str, digest: str, error: str) -> str:
     return f"scenario {name!r} (digest {digest[:12]}) failed: {error}"
 
 
+class _Driver:
+    """Where one run's points come from and where their outcomes go.
+
+    :func:`_drive_points` owns everything in between -- each attempt, the
+    watchdog, the retry policy and stop handling -- so the three callers
+    differ only here: the in-memory list (:class:`_ListDriver`), a
+    campaign's own fleet (:class:`_CampaignDriver`) and a fleet worker's
+    claims (:mod:`repro.runner.worker`).  ``specs[index]`` is the point
+    behind each index; a driver may append to ``specs`` as :meth:`more`
+    hands out new indices.
+    """
+
+    def __init__(self, specs: List[ScenarioSpec]) -> None:
+        self.specs = specs
+
+    def more(self, inflight: Set[int]) -> Sequence[int]:
+        """Called every engine tick; returns further indices to run.
+
+        ``inflight`` holds the points executing now.  The engine returns
+        once nothing is queued or in flight after this call.
+        """
+        return ()
+
+    def digest(self, index: int) -> str:
+        """Content digest naming the point in failure texts and backoff jitter."""
+        raise NotImplementedError
+
+    def warm_hint(self, index: int) -> Optional[dict]:
+        """Transportable warm-start hint for the point, asked at each start.
+
+        Best-effort by construction: a neighbour still in flight yields a
+        cold solve, never a stall.
+        """
+        return None
+
+    def start(self, index: int, attempt: int) -> None:
+        """An attempt is about to run; ``attempt`` counts earlier ones this run."""
+
+    def done(self, index: int, record: dict, wall_time_s: float) -> None:
+        """The attempt succeeded with result ``record``."""
+        raise NotImplementedError
+
+    def failed(self, index: int, status: str, message: str, retrying: bool) -> None:
+        """The attempt ended ``failed`` or ``timed_out`` with ``message``.
+
+        ``retrying`` says whether the engine will run the point again.
+        """
+        raise NotImplementedError
+
+    def stop(self, inflight: Sequence[int]) -> None:
+        """A stop signal landed while the ``inflight`` points were running."""
+
+
+class _ListDriver(_Driver):
+    """The in-memory run: records kept in input order, first failure raises."""
+
+    def __init__(
+        self,
+        specs: List[ScenarioSpec],
+        warm_hints: Optional[Mapping[str, Tuple[str, bool]]],
+    ) -> None:
+        super().__init__(specs)
+        self.records: List[Optional[dict]] = [None] * len(specs)
+        self.warm_hints = warm_hints or {}
+        self.index_by_name = {spec.name: index for index, spec in enumerate(specs)}
+
+    def digest(self, index: int) -> str:
+        # Computed on failure only: a digest costs about a millisecond.
+        return scenario_content_digest(self.specs[index])
+
+    def warm_hint(self, index: int) -> Optional[dict]:
+        target = self.warm_hints.get(self.specs[index].name)
+        if target is None:
+            return None
+        neighbour_name, exact_prefix = target
+        neighbour = self.index_by_name.get(neighbour_name)
+        record = self.records[neighbour] if neighbour is not None else None
+        if not record or not record.get("placement"):
+            return None
+        return {
+            "placement": dict(record["placement"]),
+            "exact_prefix": bool(exact_prefix),
+            "source": neighbour_name,
+        }
+
+    def done(self, index: int, record: dict, wall_time_s: float) -> None:
+        self.records[index] = record
+
+    def failed(self, index: int, status: str, message: str, retrying: bool) -> None:
+        # Without a store there is nothing to retry against.
+        raise ScenarioExecutionError(
+            message, scenario=self.specs[index].name, digest=self.digest(index)
+        )
+
+
+class _StoreDriver(_Driver):
+    """A driver whose points are rows of one campaign in a result store."""
+
+    def __init__(
+        self,
+        specs: List[ScenarioSpec],
+        store: ResultStore,
+        campaign: str,
+        digests: List[str],
+        heartbeat_s: float,
+    ) -> None:
+        super().__init__(specs)
+        self.store = store
+        self.campaign = campaign
+        self.digests = digests
+        self.heartbeat_s = heartbeat_s
+        self._last_beat = float("-inf")
+
+    def digest(self, index: int) -> str:
+        return self.digests[index]
+
+    def beat(self, inflight: Set[int]) -> bool:
+        """Refresh the in-flight rows' heartbeats, at most once per ``heartbeat_s``.
+
+        Keeps siblings from taking a row whose driver is merely slow.
+        Returns True when a beat was due, so callers can run their own
+        liveness scans at the same cadence.
+        """
+        now = time.monotonic()
+        if now - self._last_beat < self.heartbeat_s:
+            return False
+        self._last_beat = now
+        if inflight:
+            self.store.heartbeat(self.campaign, [self.digests[i] for i in inflight])
+        return True
+
+
+class _CampaignDriver(_StoreDriver):
+    """A store-backed ``run_batch``: its own fleet, every attempt recorded."""
+
+    def __init__(
+        self,
+        specs: List[ScenarioSpec],
+        store: ResultStore,
+        campaign: str,
+        enrolled: List[PointRecord],
+        summary: CampaignSummary,
+        heartbeat_s: float,
+        stale_after_s: float,
+        warm_start: bool,
+    ) -> None:
+        super().__init__(
+            specs, store, campaign, [record.digest for record in enrolled], heartbeat_s
+        )
+        self.enrolled = enrolled
+        self.summary = summary
+        self.stale_after_s = stale_after_s
+        self.warm_start = warm_start
+        self.index_by_digest = {digest: i for i, digest in enumerate(self.digests)}
+        self.computed: Dict[int, ScenarioResult] = {}
+
+    def more(self, inflight: Set[int]) -> Sequence[int]:
+        # Adopt this fleet's rows whose owner went silent (a dead driver).
+        if not self.beat(inflight):
+            return ()
+        adopted: List[int] = []
+        for digest in self.store.reclaim_stale(self.campaign, self.stale_after_s):
+            index = self.index_by_digest.get(digest)
+            if index is None or index in self.computed or index in inflight:
+                continue
+            self.summary.reclaimed += 1
+            adopted.append(index)
+        return adopted
+
+    def warm_hint(self, index: int) -> Optional[dict]:
+        # Enrollment wrote the wiring; the neighbour may have finished in
+        # this run or an earlier one.
+        return self.store.warm_hint(self.enrolled[index]) if self.warm_start else None
+
+    def start(self, index: int, attempt: int) -> None:
+        self.store.mark_running(self.campaign, self.digests[index])
+
+    def done(self, index: int, record: dict, wall_time_s: float) -> None:
+        self.store.mark_done(self.campaign, self.digests[index], record, wall_time_s)
+        self.computed[index] = ScenarioResult.from_dict(record)
+
+    def failed(self, index: int, status: str, message: str, retrying: bool) -> None:
+        # Every failed attempt is recorded, so a driver killed during a
+        # retry backoff leaves a row the next resume re-runs.
+        if status == STATUS_TIMED_OUT:
+            self.store.mark_timed_out(self.campaign, self.digests[index], message)
+        else:
+            self.store.mark_failed(self.campaign, self.digests[index], message)
+        if retrying:
+            self.summary.retried += 1
+
+    def stop(self, inflight: Sequence[int]) -> None:
+        # The literal "interrupted" makes these rows discoverable (and
+        # reclaimable by `campaign doctor` / the next resume).
+        for index in inflight:
+            self.store.mark_failed(
+                self.campaign,
+                self.digests[index],
+                _point_error_message(
+                    self.specs[index].name,
+                    self.digests[index],
+                    "interrupted: terminated by signal",
+                ),
+            )
+
+
 def _drive_points(
+    driver: _Driver,
     indices: Sequence[int],
-    specs: Sequence[ScenarioSpec],
     stage_cache: StageCache,
     use_cache: bool,
-    jobs: int,
-    on_start: Callable[[int], None],
-    on_done: Callable[[int, dict, float], None],
-    on_error: Callable[[int, str, str], Optional[float]],
-    on_interrupted: Callable[[int, str], Optional[float]],
-    on_timeout: Optional[Callable[[int], Optional[float]]] = None,
-    on_stop: Optional[Callable[[int], None]] = None,
-    on_tick: Optional[Callable[[Set[int]], Sequence[int]]] = None,
+    processes: int,
+    retries: int = 0,
     timeout_s: Optional[float] = None,
-    warm_hint_for: Optional[Callable[[int], Optional[dict]]] = None,
+    retry_backoff_s: float = 0.0,
 ) -> None:
-    """Execute the points at ``indices``, serially or in worker processes.
+    """Run points through their attempt lifecycle: the one execution engine.
 
-    ``warm_hint_for(index)`` (optional) is consulted at *submit* time and
-    may return a transportable warm-start hint dict for the point -- the
-    campaign layer resolves each point's designated neighbour against
-    what has already finished, so hints are best-effort by construction: a
-    neighbour still in flight simply yields a cold solve, never a stall.
+    ``indices`` seed the queue and ``driver.more`` may add points on every
+    tick (bounded by ``WAIT_TICK_S``).  ``processes=0`` runs each attempt
+    in this process through :func:`execute_point`; otherwise attempts run
+    in a ``ProcessPoolExecutor`` of that many workers, at most
+    ``INFLIGHT_PER_WORKER`` each in flight.
 
-    ``on_done`` receives the point's wall time as measured *inside* the
-    worker (``runtime_s`` of the result record), so queueing delay behind
-    other in-flight points is never billed to the point itself.
+    One attempt ends in one of four ways:
 
-    ``on_error(index, error, traceback_text)`` handles a point whose own
-    code raised.  Retry contract (shared by ``on_error``,
-    ``on_interrupted`` and ``on_timeout``): return ``None`` to give the
-    point up, or a delay in seconds >= 0 to re-enqueue it -- the driver
-    will not start it again before the delay elapses (retry backoff).
+    * success -- ``driver.done`` gets the record and the point's wall
+      time (in the pool as measured inside the worker, so queueing delay
+      behind other in-flight points is never billed to the point);
+    * the point's own code raised -- charged to ``retries``;
+    * ``timeout_s`` expired -- charged to the same ``retries``.  In the
+      pool a parent-side watchdog terminates the workers (a hung worker
+      cannot be cancelled any other way) and the pool is rebuilt;
+      in-process the check is necessarily post hoc and the result is
+      discarded;
+    * the worker process died (OOM kill, segfault, the ``worker.crash``
+      chaos site).  That breaks the whole pool and poisons every
+      in-flight future, so most casualties are innocent bystanders of a
+      culprit that cannot be identified: the pool is rebuilt and each
+      casualty gets ``retries + 1`` free passes.  Bounded, so a point
+      that deterministically kills its worker cannot loop forever.
 
-    ``on_interrupted(index, error)`` handles a point that was in flight
-    when a worker process *died* (OOM kill, segfault -- which breaks the
-    whole pool and poisons every pending future, so the casualties include
-    innocent points that merely shared the pool with the culprit).  The
-    driver rebuilds the executor and keeps going.  One crashing worker can
-    never take down the campaign.
-
-    ``on_timeout(index)`` handles a point that exceeded ``timeout_s``.  In
-    parallel mode this is a real parent-side watchdog: the pool's worker
-    processes are terminated (a hung worker cannot be cancelled any other
-    way) and the pool is rebuilt; innocent in-flight points go through
-    ``on_interrupted``.  In serial mode the check is necessarily post hoc
-    -- the parent *is* the worker -- so an overlong point is reported
-    against ``on_timeout`` after it finishes and its result is discarded.
-
-    ``on_tick(inflight_indices)`` runs every driver tick (bounded by
-    ``WAIT_TICK_S``) and may return extra point indices to enqueue -- the
-    campaign layer uses it to heartbeat its own leases and adopt stale
-    points reclaimed from dead drivers.
-
-    ``on_stop(index)`` marks one in-flight point when a stop signal
-    (:class:`_StopRequested`, raised by the SIGINT/SIGTERM handlers that
-    ``run_batch`` installs) lands: the driver kills the workers, reports
-    every in-flight point to ``on_stop``, and re-raises -- no point is ever
-    left looking ``running`` in a store after a clean shutdown.
+    Each failed attempt reaches ``driver.failed`` with one failure text,
+    built here, and whether the point runs again; a re-run waits out
+    :func:`retry_backoff_delay`.  A stop signal (:class:`_StopRequested`)
+    terminates the workers, reports the in-flight points to
+    ``driver.stop`` and re-raises.
     """
+    specs = driver.specs
     queue = deque(indices)
     not_before: Dict[int, float] = {}
+    charged: Dict[int, int] = {}  # error/timeout retries spent per point
+    passes: Dict[int, int] = {}  # free passes spent after worker deaths
+    pending: Dict[Future, int] = {}
+    deadlines: Dict[Future, float] = {}
+    running: List[int] = []  # the in-process attempt, while it runs
+    executor: Optional[ProcessPoolExecutor] = None
+    cache_dir = str(stage_cache.root) if stage_cache.enabled else None
+    timeout_error = (
+        "" if timeout_s is None else f"timed out: exceeded wall-clock budget of {timeout_s:g}s"
+    )
 
-    def requeue(index: int, delay: Optional[float]) -> bool:
-        """Apply one callback verdict; True when the point was re-enqueued."""
-        if delay is None:
-            return False
-        if delay > 0.0:
-            not_before[index] = time.monotonic() + delay
-        queue.append(index)
-        return True
+    def refill() -> bool:
+        """Take the driver's new points; False once nothing is left to run."""
+        inflight = set(pending.values())
+        for extra in driver.more(inflight):
+            if extra not in inflight and extra not in queue:
+                queue.append(extra)
+        return bool(queue or pending)
 
     def pop_eligible() -> Optional[int]:
         """Next queued index whose backoff delay has elapsed, if any."""
@@ -470,72 +713,81 @@ def _drive_points(
             queue.append(index)
         return None
 
-    def run_tick(inflight: Set[int]) -> None:
-        if on_tick is None:
-            return
-        for extra in on_tick(inflight) or ():
-            if extra not in inflight and extra not in queue:
-                queue.append(extra)
+    def start(index: int) -> Optional[dict]:
+        driver.start(index, charged.get(index, 0) + passes.get(index, 0))
+        return driver.warm_hint(index)
 
-    if jobs == 1:
-        while queue:
-            run_tick(set())
-            index = pop_eligible()
-            if index is None:
-                time.sleep(min(WAIT_TICK_S, 0.05))
-                continue
-            on_start(index)
-            start = time.perf_counter()
-            try:
-                # Serial mode has no worker processes -- the driver is the
-                # worker, so the worker.* chaos sites fire right here,
-                # inside execute_point (a crash kills the driver, leaving
-                # the running rows a later resume must reclaim; a hang
-                # trips the post-hoc timeout).  The existing stage_cache
-                # handle is passed through so its hit/miss counters keep
-                # accumulating across the run.
-                status, record = execute_point(
-                    specs[index],
-                    cache=stage_cache,
-                    use_cache=use_cache,
-                    warm_hint=warm_hint_for(index) if warm_hint_for else None,
-                )
-            except _StopRequested:
-                if on_stop is not None:
-                    on_stop(index)
-                raise
-            if status != "ok":
-                requeue(
-                    index,
-                    on_error(index, record["error"], record.get("traceback", "")),
-                )
-                continue
-            elapsed = time.perf_counter() - start
-            if timeout_s is not None and on_timeout is not None and elapsed > timeout_s:
-                requeue(index, on_timeout(index))
-                continue
-            on_done(index, record, elapsed)
-        return
+    def settle(index: int, outcome: str, error: str, traceback_text: str = "") -> None:
+        """Apply the retry policy to one failed attempt and report it."""
+        if outcome == "interrupted":
+            passes[index] = passes.get(index, 0) + 1
+            retrying = passes[index] <= retries + 1
+        else:
+            charged[index] = charged.get(index, 0) + 1
+            retrying = charged[index] <= retries
+        digest = driver.digest(index)
+        message = _point_error_message(specs[index].name, digest, error)
+        if traceback_text:
+            message = f"{message}\n{traceback_text}"
+        status = STATUS_TIMED_OUT if outcome == "timeout" else STATUS_FAILED
+        driver.failed(index, status, message, retrying)
+        if retrying:
+            spent = charged.get(index, 0) + passes.get(index, 0)
+            delay = retry_backoff_delay(retry_backoff_s, spent - 1, digest)
+            if delay > 0.0:
+                not_before[index] = time.monotonic() + delay
+            queue.append(index)
 
-    cache_dir = str(stage_cache.root) if stage_cache.enabled else None
-    max_inflight = jobs * INFLIGHT_PER_WORKER
-    executor = ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init)
-    pending: Dict[object, int] = {}
-    deadlines: Dict[object, float] = {}
+    def run_here(index: int) -> None:
+        warm_hint = start(index)
+        running.append(index)
+        started = time.perf_counter()
+        # In-process the driver is the worker, so the worker.* chaos sites
+        # fire right here, inside execute_point: a crash kills the driver,
+        # leaving running rows for a resume or a sibling to reclaim; a hang
+        # trips the post-hoc timeout.  The live stage_cache handle keeps
+        # its hit/miss counters accumulating across the run.
+        status, record = execute_point(
+            specs[index], cache=stage_cache, use_cache=use_cache, warm_hint=warm_hint
+        )
+        elapsed = time.perf_counter() - started
+        running.clear()
+        if status != "ok":
+            settle(index, "error", record["error"], record.get("traceback", ""))
+        elif timeout_s is not None and elapsed > timeout_s:
+            settle(index, "timeout", timeout_error)
+        else:
+            driver.done(index, record, elapsed)
 
-    def consume(index: int, future: object) -> None:
-        """Harvest one settled future into on_done / on_error."""
+    def submit(index: int) -> None:
+        nonlocal executor
+        payload = _worker_payload(
+            specs[index],
+            cache_dir,
+            use_cache,
+            stage_cache.mmap_arrays,
+            warm_hint=start(index),
+        )
+        if executor is None:
+            executor = ProcessPoolExecutor(max_workers=processes, initializer=_worker_init)
+        future = executor.submit(_run_scenario_worker, payload)
+        pending[future] = index
+        if timeout_s is not None:
+            deadlines[future] = time.monotonic() + timeout_s
+
+    def consume(index: int, future: Future) -> None:
+        """Harvest one settled future."""
         try:
             status, record = future.result()
         except Exception as exc:  # transport failures (unpicklable, ...)
-            requeue(index, on_error(index, f"{type(exc).__name__}: {exc}", ""))
+            settle(index, "error", f"{type(exc).__name__}: {exc}")
             return
         if status == "ok":
-            on_done(index, record, float(record.get("runtime_s", 0.0)))
+            driver.done(index, record, float(record.get("runtime_s", 0.0)))
         else:
-            requeue(index, on_error(index, record["error"], record.get("traceback", "")))
+            settle(index, "error", record["error"], record.get("traceback", ""))
 
-    def settled_ok(future: object) -> bool:
+    def settled_ok(future: Future) -> bool:
         """Finished with a transportable outcome (not pool death/cancel)."""
         return (
             future.done()
@@ -543,102 +795,92 @@ def _drive_points(
             and not isinstance(future.exception(), BrokenProcessPool)
         )
 
-    def rebuild_pool(reason: str, overdue: Set[object]) -> None:
+    def rebuild_pool(reason: str, overdue: Set[Future]) -> None:
         """Watchdog / pool-death recovery: kill, reclassify, restart.
 
         Every in-flight future is classified exactly once: finished ones
-        are consumed normally, overdue ones go to ``on_timeout``, the rest
-        are innocent casualties of the teardown and go to
-        ``on_interrupted``.
+        are consumed normally, overdue ones time out, the rest are innocent
+        casualties of the teardown.  The next submission starts a fresh
+        pool.
         """
         nonlocal executor
         _terminate_worker_processes(executor)
         executor.shutdown(wait=False, cancel_futures=True)
+        executor = None
         casualties = dict(pending)
         pending.clear()
         deadlines.clear()
-        executor = ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init)
         for future, index in casualties.items():
             if settled_ok(future):
                 consume(index, future)
-            elif future in overdue and on_timeout is not None:
-                requeue(index, on_timeout(index))
+            elif future in overdue:
+                settle(index, "timeout", timeout_error)
             else:
-                requeue(index, on_interrupted(index, reason))
+                settle(index, "interrupted", reason)
+
+    def harvest() -> None:
+        """Wait one tick for finished attempts; run the watchdog."""
+        done, _ = wait(pending, timeout=WAIT_TICK_S, return_when=FIRST_COMPLETED)
+        for future in done:
+            index = pending.pop(future)
+            deadlines.pop(future, None)
+            exc = future.exception()
+            if not isinstance(exc, BrokenProcessPool):
+                consume(index, future)
+                continue
+            # A worker process died.  The pool is now unusable: treat this
+            # future and everything still in flight as casualties, harvest
+            # what finished before the death, and rebuild.
+            settle(index, "interrupted", f"worker process died: {exc}")
+            rebuild_pool(f"worker process died: {exc}", overdue=set())
+            return
+        now = time.monotonic()
+        overdue = {
+            future
+            for future, deadline in deadlines.items()
+            if deadline <= now and not future.done()
+        }
+        if overdue:
+            names = ", ".join(
+                repr(specs[pending[future]].name)
+                for future in sorted(overdue, key=lambda f: pending[f])
+            )
+            trace_event("batch.watchdog", overdue=len(overdue), points=names)
+            rebuild_pool(
+                "worker evicted by watchdog "
+                f"(pool torn down to kill overdue point(s) {names})",
+                overdue=overdue,
+            )
 
     clean = False
     try:
-        while queue or pending:
-            run_tick(set(pending.values()))
-            while len(pending) < max_inflight:
+        while refill():
+            if not processes:
                 index = pop_eligible()
-                if index is None:
-                    break
-                on_start(index)
-                payload = _worker_payload(
-                    specs[index],
-                    cache_dir,
-                    use_cache,
-                    stage_cache.mmap_arrays,
-                    warm_hint=warm_hint_for(index) if warm_hint_for else None,
-                )
-                future = executor.submit(_run_scenario_worker, payload)
-                pending[future] = index
-                if timeout_s is not None:
-                    deadlines[future] = time.monotonic() + timeout_s
-            if not pending:
-                # Everything queued is backing off; idle one tick.
-                time.sleep(min(WAIT_TICK_S, 0.05))
-                continue
-            done, _ = wait(pending, timeout=WAIT_TICK_S, return_when=FIRST_COMPLETED)
-            pool_broken = False
-            for future in done:
-                index = pending.pop(future)
-                deadlines.pop(future, None)
-                if not isinstance(future.exception(), BrokenProcessPool):
-                    consume(index, future)
+                if index is not None:
+                    run_here(index)
                     continue
-                # A worker process died.  The pool is now unusable: the
-                # culprit cannot be identified, so treat this future and
-                # everything still in flight as casualties, harvest what
-                # finished before the death, and rebuild the pool so the
-                # remaining queue keeps running.
-                exc = future.exception()
-                requeue(index, on_interrupted(index, f"worker process died: {exc}"))
-                rebuild_pool(f"worker process died: {exc}", overdue=set())
-                pool_broken = True
-                break
-            if pool_broken:
-                continue
-            if timeout_s is not None and deadlines:
-                now = time.monotonic()
-                overdue = {
-                    future
-                    for future, deadline in deadlines.items()
-                    if deadline <= now and not future.done()
-                }
-                if overdue:
-                    names = ", ".join(
-                        repr(specs[pending[future]].name) for future in sorted(
-                            overdue, key=lambda f: pending[f]
-                        )
-                    )
-                    trace_event("batch.watchdog", overdue=len(overdue), points=names)
-                    rebuild_pool(
-                        "worker evicted by watchdog "
-                        f"(pool torn down to kill overdue point(s) {names})",
-                        overdue=overdue,
-                    )
+            else:
+                while len(pending) < processes * INFLIGHT_PER_WORKER:
+                    index = pop_eligible()
+                    if index is None:
+                        break
+                    submit(index)
+                if pending:
+                    harvest()
+                    continue
+            # Everything queued is backing off; idle one tick.
+            time.sleep(min(WAIT_TICK_S, 0.05))
         clean = True
     except _StopRequested:
-        _terminate_worker_processes(executor)
-        if on_stop is not None:
-            for index in pending.values():
-                on_stop(index)
+        if executor is not None:
+            _terminate_worker_processes(executor)
+        driver.stop([*pending.values(), *running])
         pending.clear()
         raise
     finally:
-        executor.shutdown(wait=clean, cancel_futures=not clean)
+        if executor is not None:
+            executor.shutdown(wait=clean, cancel_futures=not clean)
 
 
 def run_batch(
@@ -681,8 +923,9 @@ def run_batch(
     campaign:
         Campaign name within the store (default ``"batch"``).
     retries:
-        How often a failed point is re-attempted within this run
-        (store-backed campaigns only).
+        How often a failed or timed-out point is re-attempted within this
+        run.  Store-backed campaigns only: without a store a nonzero value
+        raises :class:`~repro.errors.ConfigurationError`.
     timeout_s:
         Per-point wall-clock budget.  In parallel runs a parent-side
         watchdog terminates workers whose point overruns it (status
@@ -767,51 +1010,43 @@ def run_batch(
         jobs = 1
 
     result_store = resolve_store(store)
+    if retries and result_store is None:
+        raise ConfigurationError(
+            "retries only apply to store-backed batches; pass store= "
+            "(CLI: --store PATH, or `repro campaign run`)"
+        )
     owns_store = result_store is not None and not isinstance(store, ResultStore)
 
-    # Graceful-shutdown handlers: SIGTERM (orchestrators, `timeout`, k8s)
-    # and SIGINT raise _StopRequested in the main thread, the driver marks
-    # every in-flight point ``failed ("interrupted...")`` and kills its
-    # workers, and the finally block below still closes the store and
-    # merges trace shards -- so a terminated campaign resumes cleanly with
-    # no orphaned ``running`` rows.  Signals can only be installed from the
-    # main thread; elsewhere (tests driving batches from threads) the
-    # process keeps its existing handlers.
-    installed_handlers: List[Tuple[int, object]] = []
-    if threading.current_thread() is threading.main_thread():
-
-        def _stop_handler(signum: int, frame: object) -> None:
-            raise _StopRequested(signum)
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                installed_handlers.append((signum, signal.signal(signum, _stop_handler)))
-            except (ValueError, OSError):  # pragma: no cover - exotic platforms
-                pass
-
+    # Graceful shutdown: SIGTERM (orchestrators, `timeout`, k8s) and SIGINT
+    # raise _StopRequested, the engine marks every in-flight point
+    # ``failed ("interrupted...")`` and kills its workers, and the finally
+    # block below still closes the store and merges trace shards -- so a
+    # terminated campaign resumes cleanly with no orphaned ``running`` rows.
+    processes = 0 if jobs == 1 else jobs
     try:
         batch_attrs = {"n_scenarios": len(specs), "jobs": jobs}
         if result_store is not None:
             batch_attrs["campaign"] = campaign if campaign else DEFAULT_CAMPAIGN
-        with span("batch", **batch_attrs):
+        with _stop_signals(), span("batch", **batch_attrs):
             start = time.perf_counter()
             if result_store is None:
-                results = _run_in_memory(
-                    specs,
+                driver = _ListDriver(specs, warm_hints)
+                _drive_points(
+                    driver,
+                    range(len(specs)),
                     stage_cache,
                     use_cache,
-                    jobs,
-                    timeout_s,
-                    retry_backoff_s,
-                    warm_hints=warm_hints,
+                    processes,
+                    timeout_s=timeout_s,
                 )
+                results = [ScenarioResult.from_dict(record) for record in driver.records]
                 summary: Optional[CampaignSummary] = None
             else:
                 results, summary = _run_campaign(
                     specs,
                     stage_cache,
                     use_cache,
-                    jobs,
+                    processes,
                     result_store,
                     campaign if campaign else DEFAULT_CAMPAIGN,
                     retries,
@@ -830,16 +1065,11 @@ def run_batch(
             "in-flight points marked failed ('interrupted')"
         ) from None
     finally:
-        for signum, previous in installed_handlers:
-            try:
-                signal.signal(signum, previous)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
         if owns_store:
             result_store.close()
         # Fold worker trace shards into the single merged trace; a no-op
         # while tracing is disabled.  The pool has drained by now (the
-        # drivers shut their executors down), so every shard is complete.
+        # engine shut its executor down), so every shard is complete.
         merge_active_trace()
 
     path: Optional[Path] = None
@@ -857,87 +1087,11 @@ def run_batch(
     )
 
 
-def _run_in_memory(
-    specs: Sequence[ScenarioSpec],
-    stage_cache: StageCache,
-    use_cache: bool,
-    jobs: int,
-    timeout_s: Optional[float] = None,
-    retry_backoff_s: float = 0.0,
-    warm_hints: Optional[Mapping[str, Tuple[str, bool]]] = None,
-) -> List[ScenarioResult]:
-    """The classic one-pass batch: any scenario failure aborts the run.
-
-    The failure is wrapped in a :class:`ScenarioExecutionError` naming the
-    point (scenario name + content digest) instead of surfacing a bare
-    worker traceback.  A point exceeding ``timeout_s`` is a failure too --
-    without a store there is nothing to retry against.
-    """
-    del retry_backoff_s  # no retries without a store; accepted for symmetry
-    records: List[Optional[dict]] = [None] * len(specs)
-    index_by_name = {spec.name: index for index, spec in enumerate(specs)}
-
-    def warm_hint_for(index: int) -> Optional[dict]:
-        if not warm_hints:
-            return None
-        target = warm_hints.get(specs[index].name)
-        if target is None:
-            return None
-        neighbour_name, exact_prefix = target
-        neighbour = index_by_name.get(neighbour_name)
-        record = records[neighbour] if neighbour is not None else None
-        if not record or not record.get("placement"):
-            return None
-        return {
-            "placement": dict(record["placement"]),
-            "exact_prefix": bool(exact_prefix),
-            "source": neighbour_name,
-        }
-
-    def on_start(index: int) -> None:
-        pass
-
-    def on_done(index: int, record: dict, wall_time_s: float) -> None:
-        records[index] = record
-
-    def on_error(index: int, error: str, traceback_text: str) -> Optional[float]:
-        name = specs[index].name
-        digest = scenario_content_digest(specs[index])
-        message = _point_error_message(name, digest, error)
-        if traceback_text:
-            message = f"{message}\n{traceback_text}"
-        raise ScenarioExecutionError(message, scenario=name, digest=digest)
-
-    def on_interrupted(index: int, error: str) -> Optional[float]:
-        return on_error(index, error, "")
-
-    def on_timeout(index: int) -> Optional[float]:
-        return on_error(
-            index, f"timed out: exceeded wall-clock budget of {timeout_s:g}s", ""
-        )
-
-    _drive_points(
-        range(len(specs)),
-        specs,
-        stage_cache,
-        use_cache,
-        jobs,
-        on_start,
-        on_done,
-        on_error,
-        on_interrupted,
-        on_timeout=on_timeout,
-        timeout_s=timeout_s,
-        warm_hint_for=warm_hint_for if warm_hints else None,
-    )
-    return [ScenarioResult.from_dict(record) for record in records]
-
-
 def _run_campaign(
-    specs: Sequence[ScenarioSpec],
+    specs: List[ScenarioSpec],
     stage_cache: StageCache,
     use_cache: bool,
-    jobs: int,
+    processes: int,
     store: ResultStore,
     campaign: str,
     retries: int,
@@ -950,152 +1104,33 @@ def _run_campaign(
     """Store-backed execution: enroll, skip done, retry failures, account."""
     enrolled = store.enroll(campaign, specs, warm_hints=warm_hints)
     store.reset_running(campaign)
-    digests = [record.digest for record in enrolled]
-    index_by_digest = {digest: index for index, digest in enumerate(digests)}
-    index_by_name = {spec.name: index for index, spec in enumerate(specs)}
-
-    def warm_hint_for(index: int) -> Optional[dict]:
-        if not warm_hints:
-            return None
-        target = warm_hints.get(specs[index].name)
-        if target is None:
-            return None
-        neighbour_name, exact_prefix = target
-        neighbour = index_by_name.get(neighbour_name)
-        if neighbour is None:
-            return None
-        placement: Optional[dict] = None
-        if neighbour in computed:
-            placement = dict(computed[neighbour].placement)
-        else:
-            # A resumed campaign may hold the neighbour from an earlier run.
-            record = store.find_done(digests[neighbour])
-            if record is not None:
-                placement = dict(record.result().placement)
-        if not placement:
-            return None
-        return {
-            "placement": placement,
-            "exact_prefix": bool(exact_prefix),
-            "source": neighbour_name,
-        }
-
     todo = [i for i, record in enumerate(enrolled) if record.status != STATUS_DONE]
     summary = CampaignSummary(
         campaign=campaign,
         n_points=len(specs),
         skipped=len(specs) - len(todo),
     )
-    attempts_this_run: Dict[int, int] = {}
-    interruptions: Dict[int, int] = {}
-    computed: Dict[int, ScenarioResult] = {}
-
-    def backoff(index: int) -> float:
-        return retry_backoff_delay(
-            retry_backoff_s, attempts_this_run.get(index, 1) - 1, digests[index]
-        )
-
-    def on_start(index: int) -> None:
-        store.mark_running(campaign, digests[index])
-
-    def on_done(index: int, record: dict, wall_time_s: float) -> None:
-        store.mark_done(campaign, digests[index], record, wall_time_s)
-        computed[index] = ScenarioResult.from_dict(record)
-
-    def on_error(index: int, error: str, traceback_text: str) -> Optional[float]:
-        message = _point_error_message(specs[index].name, digests[index], error)
-        if traceback_text:
-            message = f"{message}\n{traceback_text}"
-        store.mark_failed(campaign, digests[index], message)
-        attempt = attempts_this_run.get(index, 0)
-        if attempt < retries:
-            attempts_this_run[index] = attempt + 1
-            summary.retried += 1
-            return backoff(index)
-        return None
-
-    def on_timeout(index: int) -> Optional[float]:
-        # Terminal state is ``timed_out`` (distinct from ``failed``), but a
-        # timed-out point still draws on the same retry budget -- transient
-        # load spikes deserve another attempt.
-        message = _point_error_message(
-            specs[index].name,
-            digests[index],
-            f"timed out: exceeded wall-clock budget of {timeout_s:g}s",
-        )
-        store.mark_timed_out(campaign, digests[index], message)
-        attempt = attempts_this_run.get(index, 0)
-        if attempt < retries:
-            attempts_this_run[index] = attempt + 1
-            summary.retried += 1
-            return backoff(index)
-        return None
-
-    def on_interrupted(index: int, error: str) -> Optional[float]:
-        # A worker death poisons every in-flight future, so most casualties
-        # are innocent bystanders of the culprit point (which cannot be
-        # identified).  Re-enqueue them without charging the error-retry
-        # budget, but bound the free passes so a point that deterministically
-        # kills its worker (e.g. per-point OOM) cannot loop forever.
-        message = _point_error_message(specs[index].name, digests[index], error)
-        store.mark_failed(campaign, digests[index], message)
-        count = interruptions.get(index, 0) + 1
-        interruptions[index] = count
-        if count <= retries + 1:
-            summary.retried += 1
-            return retry_backoff_delay(retry_backoff_s, count - 1, digests[index])
-        return None
-
-    def on_stop(index: int) -> None:
-        # Signal-time marking: the point was in flight when SIGTERM/SIGINT
-        # landed.  The literal "interrupted" makes these rows discoverable
-        # (and reclaimable by `campaign doctor` / the next resume).
-        store.mark_failed(
-            campaign,
-            digests[index],
-            _point_error_message(
-                specs[index].name, digests[index], "interrupted: terminated by signal"
-            ),
-        )
-
-    last_beat = [float("-inf")]
-
-    def on_tick(inflight: Set[int]) -> Sequence[int]:
-        # Liveness bookkeeping, rate-limited to the heartbeat cadence: (1)
-        # refresh our own running rows so concurrent drivers never reclaim
-        # them, (2) reclaim rows whose owner went silent and adopt the ones
-        # that belong to this fleet.
-        now = time.monotonic()
-        if now - last_beat[0] < heartbeat_s:
-            return ()
-        last_beat[0] = now
-        if inflight:
-            store.heartbeat(campaign, [digests[index] for index in inflight])
-        adopted: List[int] = []
-        for digest in store.reclaim_stale(campaign, stale_after_s):
-            index = index_by_digest.get(digest)
-            if index is None or index in computed or index in inflight:
-                continue
-            summary.reclaimed += 1
-            adopted.append(index)
-        return adopted
-
-    _drive_points(
-        todo,
+    driver = _CampaignDriver(
         specs,
+        store,
+        campaign,
+        enrolled,
+        summary,
+        heartbeat_s,
+        stale_after_s,
+        warm_start=bool(warm_hints),
+    )
+    _drive_points(
+        driver,
+        todo,
         stage_cache,
         use_cache,
-        jobs,
-        on_start,
-        on_done,
-        on_error,
-        on_interrupted,
-        on_timeout=on_timeout,
-        on_stop=on_stop,
-        on_tick=on_tick,
+        processes,
+        retries=retries,
         timeout_s=timeout_s,
-        warm_hint_for=warm_hint_for if warm_hints else None,
+        retry_backoff_s=retry_backoff_s,
     )
+    computed = driver.computed
 
     summary.computed = len(computed)
     computed_results = [computed[i] for i in sorted(computed)]
@@ -1117,7 +1152,7 @@ def _run_campaign(
     # shows those).  ``degraded`` counts done points answered by a fallback
     # solver, whether computed now or reloaded.
     results: List[ScenarioResult] = []
-    for index, digest in enumerate(digests):
+    for index, digest in enumerate(driver.digests):
         if index in computed:
             summary.done += 1
             if computed[index].degraded:

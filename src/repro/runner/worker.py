@@ -14,13 +14,14 @@ The loop per worker is claim → run → heartbeat → mark:
   a waiting caller — ahead of ``batch`` ones), or *adopts* a ``running``
   row whose heartbeat went stale (a sibling died mid-point; no separate
   reclaim step is needed on this path).
-* **run** — the point executes through the same
-  :func:`~repro.runner.batch.execute_point` path as every other driver.
-  By default it runs in a single-process pool so the daemon can refresh
-  its heartbeat mid-point and watchdog-kill a hung child
+* **run** — the claim feeds the one execution engine,
+  :func:`~repro.runner.batch._drive_points`, that every driver uses, with
+  one slot: a pool of one process by default, so the daemon refreshes its
+  heartbeat mid-point and the watchdog can kill a hung child
   (``timeout_s``); ``serial=True`` runs in-process, where the timeout is
   necessarily post hoc and no mid-point heartbeats are possible (keep
-  ``stale_after_s`` comfortably above the longest point).
+  ``stale_after_s`` comfortably above the longest point).  The next claim
+  waits until the point is marked, so a worker holds one lease at a time.
 * **mark** — terminal writes are *fenced* on the worker still holding the
   lease (``require_owner``).  If a sibling adopted the point while we ran
   it — always possible after a stall — our late result is discarded and
@@ -28,51 +29,50 @@ The loop per worker is claim → run → heartbeat → mark:
   completion-marking is at-most-once: no point ever reaches ``done``
   twice, and the merged results are identical to a serial run.
 
-Failures honour the same per-point semantics as :func:`run_batch`:
-``retries`` re-attempts with :func:`retry_backoff_delay`, ``timeout_s``
-bounds each attempt, and a *crashed* child (the ``worker.crash`` chaos
-site, an OOM kill) gets ``retries + 1`` free passes since the point's own
-code never raised.  On SIGTERM/SIGINT the worker releases its in-flight
-claim back to ``pending`` — a sibling picks it up immediately — and
-returns its summary with ``stopped_by_signal`` set.
+Failures follow the engine's retry policy, as in
+:func:`~repro.runner.batch.run_batch`: ``retries`` re-attempts errors and
+timeouts with :func:`~repro.runner.batch.retry_backoff_delay`, and a
+*crashed* child (the ``worker.crash`` chaos site, an OOM kill) gets
+``retries + 1`` free passes since the point's own code never raised.  The row stays
+``running`` under the worker's lease between attempts; each retry
+re-stamps it.  On SIGTERM/SIGINT the worker releases its claim back to
+``pending`` — a sibling picks it up immediately — and returns its summary
+with ``stopped_by_signal`` set.
 """
 
 from __future__ import annotations
 
-import signal
-import threading
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from .. import faults
 from ..errors import ConfigurationError
-from ..scenario.spec import ScenarioSpec
 from ..telemetry import configure_from_env, merge_active_trace, span
 from .batch import (
-    WAIT_TICK_S,
-    _point_error_message,
-    _run_scenario_worker,
+    _drive_points,
+    _stop_signals,
     _StopRequested,
-    _terminate_worker_processes,
-    _worker_init,
-    _worker_payload,
+    _StoreDriver,
+    count_stage_flags,
     execute_point,
-    retry_backoff_delay,
 )
 from .cache import PathLike, StageCache, resolve_cache
+from .stages import ScenarioResult
 from .store import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_STALE_AFTER_S,
+    STATUS_TIMED_OUT,
     ClaimedPoint,
     ResultStore,
     default_lease_owner,
     default_store_path,
     resolve_store,
 )
+
+#: ``execute_point`` is re-exported: the benchmark's point clock and tracer
+#: patch the name on this module as well as on :mod:`repro.runner.batch`.
+__all__ = ["DEFAULT_POLL_S", "WorkerSummary", "execute_point", "run_worker"]
 
 #: How long a worker sleeps between claim attempts while the queue is empty
 #: but siblings still hold ``running`` rows (we wait to adopt their leases
@@ -143,290 +143,129 @@ class WorkerSummary:
         }
 
 
-class _Worker:
-    """Internal driver object holding one worker's loop state."""
+class _WorkerDriver(_StoreDriver):
+    """Feeds the engine one claim at a time and marks outcomes under the lease."""
 
     def __init__(
         self,
-        campaign: str,
         store: ResultStore,
+        campaign: str,
         worker_id: str,
-        stage_cache: StageCache,
-        use_cache: bool,
-        serial: bool,
-        retries: int,
-        timeout_s: Optional[float],
-        retry_backoff_s: float,
+        summary: WorkerSummary,
         heartbeat_s: float,
         stale_after_s: float,
         poll_s: float,
         max_points: Optional[int],
         wait_for_stragglers: bool,
-        warm_start: bool = True,
+        warm_start: bool,
     ) -> None:
-        self.campaign = campaign
-        self.store = store
+        super().__init__([], store, campaign, [], heartbeat_s)
         self.worker_id = worker_id
-        self.stage_cache = stage_cache
-        self.use_cache = use_cache
-        self.serial = serial
-        self.retries = retries
-        self.timeout_s = timeout_s
-        self.retry_backoff_s = retry_backoff_s
-        self.heartbeat_s = heartbeat_s
+        self.summary = summary
         self.stale_after_s = stale_after_s
         self.poll_s = poll_s
         self.max_points = max_points
         self.wait_for_stragglers = wait_for_stragglers
         self.warm_start = warm_start
-        self.summary = WorkerSummary(campaign=campaign, worker_id=worker_id)
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self.hints: List[Optional[dict]] = []
+        #: Claimed points not yet marked terminal, released on a stop signal.
+        self.held: Set[int] = set()
+        self.results: List[ScenarioResult] = []
 
-    # -- pool management ----------------------------------------------------------
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=1, initializer=_worker_init
-            )
-        return self._executor
-
-    def _kill_pool(self) -> None:
-        if self._executor is not None:
-            _terminate_worker_processes(self._executor)
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
-    def shutdown(self, terminate: bool) -> None:
-        if self._executor is None:
-            return
-        if terminate:
-            self._kill_pool()
-        else:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    # -- the loop -----------------------------------------------------------------
-
-    def run(self) -> None:
-        while True:
-            if (
-                self.max_points is not None
-                and self.summary.claimed >= self.max_points
-            ):
-                return
-            claimed = self.store.claim_next_pending(
-                self.campaign,
-                owner=self.worker_id,
-                stale_after_s=self.stale_after_s,
-            )
-            if claimed is None:
-                counts = self.store.status_counts(self.campaign)
-                if counts.get("pending", 0) == 0 and counts.get("running", 0) == 0:
-                    return  # drained: every point is terminal
-                if not self.wait_for_stragglers:
-                    return
-                # Siblings still hold running rows; wait so we can adopt
-                # their leases if they die.  A plain sleep: the SIGTERM
-                # handler interrupts it.
-                time.sleep(self.poll_s)
-                continue
-            self.summary.claimed += 1
-            if claimed.adopted:
-                self.summary.adopted += 1
-            self._run_point(claimed)
-
-    def _run_point(self, claimed: ClaimedPoint) -> None:
+    def more(self, inflight: Set[int]) -> Sequence[int]:
+        self.beat(inflight)
+        # One lease at a time: claim only when no held point is in flight
+        # or backing off before a retry.
+        if self.held:
+            return ()
+        claimed = self._claim()
+        if claimed is None:
+            return ()
         point = claimed.point
-        spec = ScenarioSpec.from_dict(point.spec_dict)
+        self.summary.claimed += 1
+        self.summary.adopted += claimed.adopted
+        self.specs.append(point.spec())
+        self.digests.append(point.digest)
         # Warm-start pickup: the wiring was written at enrollment, the
         # neighbour's placement is read now -- a fleet worker claiming a
         # point late automatically sees more finished neighbours than an
         # eager one.  Resolved once per point: retries reuse the same hint.
-        warm_hint = self.store.warm_hint(point) if self.warm_start else None
-        error_attempts = 0
-        interrupted_passes = 0
-        try:
-            while True:
-                outcome, payload, elapsed = self._attempt(spec, point.digest, warm_hint)
-                if outcome == "ok":
-                    if self.store.mark_done(
-                        self.campaign,
-                        point.digest,
-                        payload,
-                        wall_time_s=elapsed,
-                        require_owner=self.worker_id,
-                    ):
-                        self.summary.done += 1
-                        self._account_stages(payload)
-                    else:
-                        self.summary.lost_leases += 1
-                    return
-                if outcome == "interrupted":
-                    # The child process died under the point (crash chaos
-                    # site, OOM kill).  The point's own code never raised,
-                    # so it gets retries + 1 free passes like run_batch's
-                    # pool-death recovery.
-                    if interrupted_passes < self.retries + 1:
-                        interrupted_passes += 1
-                        self._retry(point.digest, error_attempts + interrupted_passes)
-                        continue
-                    marked = self.store.mark_failed(
-                        self.campaign,
-                        point.digest,
-                        _point_error_message(
-                            point.name, point.digest, payload["error"]
-                        ),
-                        require_owner=self.worker_id,
-                    )
-                    self.summary.failed += marked
-                    self.summary.lost_leases += not marked
-                    return
-                # "error" / "timeout": charge the shared retry budget.
-                if error_attempts < self.retries:
-                    error_attempts += 1
-                    self._retry(point.digest, error_attempts + interrupted_passes)
-                    continue
-                message = _point_error_message(
-                    point.name, point.digest, payload["error"]
-                )
-                if outcome == "timeout":
-                    marked = self.store.mark_timed_out(
-                        self.campaign,
-                        point.digest,
-                        message,
-                        require_owner=self.worker_id,
-                    )
-                    self.summary.timed_out += marked
-                else:
-                    marked = self.store.mark_failed(
-                        self.campaign,
-                        point.digest,
-                        message,
-                        require_owner=self.worker_id,
-                    )
-                    self.summary.failed += marked
-                self.summary.lost_leases += not marked
-                return
-        except _StopRequested:
-            # Graceful shutdown mid-point: hand the claim straight back to
-            # the queue so a sibling picks it up without waiting for the
-            # lease to go stale.
-            if self.store.release(self.campaign, point.digest, self.worker_id):
-                self.summary.released += 1
-            raise
+        self.hints.append(self.store.warm_hint(point) if self.warm_start else None)
+        index = len(self.specs) - 1
+        self.held.add(index)
+        return (index,)
 
-    def _retry(self, digest: str, attempt: int) -> None:
-        """Book one re-attempt: backoff, then re-stamp the running row."""
-        self.summary.retried += 1
-        delay = retry_backoff_delay(self.retry_backoff_s, attempt - 1, digest)
-        if delay > 0.0:
-            time.sleep(delay)
-        # Re-stamping increments ``attempts`` (one row per started attempt,
-        # same accounting as run_batch) and refreshes the heartbeat.
-        self.store.mark_running(self.campaign, digest, lease_owner=self.worker_id)
-
-    def _account_stages(self, record: Dict[str, Any]) -> None:
-        for stage, hit in dict(record.get("stage_cached", {})).items():
-            bucket = self.summary.stage_hits if hit else self.summary.stage_recomputes
-            bucket[stage] = bucket.get(stage, 0) + 1
-
-    # -- one attempt --------------------------------------------------------------
-
-    def _attempt(
-        self, spec: ScenarioSpec, digest: str, warm_hint: Optional[Dict[str, Any]] = None
-    ) -> Tuple[str, Dict[str, Any], float]:
-        """Execute one attempt; returns ``(outcome, payload, elapsed_s)``.
-
-        Outcomes: ``"ok"`` (payload = result record), ``"error"`` (payload
-        = ``{"error", "traceback"}``), ``"timeout"`` (payload names the
-        budget), ``"interrupted"`` (the child process died).
-        """
-        if self.serial:
-            return self._attempt_serial(spec, warm_hint)
-        return self._attempt_pooled(spec, digest, warm_hint)
-
-    def _attempt_serial(
-        self, spec: ScenarioSpec, warm_hint: Optional[Dict[str, Any]] = None
-    ) -> Tuple[str, Dict[str, Any], float]:
-        start = time.perf_counter()
-        status, record = execute_point(
-            spec, cache=self.stage_cache, use_cache=self.use_cache, warm_hint=warm_hint
-        )
-        elapsed = time.perf_counter() - start
-        if (
-            status == "ok"
-            and self.timeout_s is not None
-            and elapsed > self.timeout_s
-        ):
-            # Post hoc by necessity: serially, the worker IS the point.
-            return (
-                "timeout",
-                {"error": f"exceeded timeout_s={self.timeout_s:g} ({elapsed:.2f}s)"},
-                elapsed,
+    def _claim(self) -> Optional[ClaimedPoint]:
+        """The next claimable point, waiting on siblings' leases if asked to."""
+        while self.max_points is None or self.summary.claimed < self.max_points:
+            claimed = self.store.claim_next_pending(
+                self.campaign, owner=self.worker_id, stale_after_s=self.stale_after_s
             )
-        return (status, record, elapsed)
+            if claimed is not None:
+                return claimed
+            counts = self.store.status_counts(self.campaign)
+            if counts.get("pending", 0) == 0 and counts.get("running", 0) == 0:
+                return None  # drained: every point is terminal
+            if not self.wait_for_stragglers:
+                return None
+            # Siblings still hold running rows; wait so we can adopt their
+            # leases if they die.  A plain sleep: the SIGTERM handler
+            # interrupts it.
+            time.sleep(self.poll_s)
+        return None
 
-    def _attempt_pooled(
-        self, spec: ScenarioSpec, digest: str, warm_hint: Optional[Dict[str, Any]] = None
-    ) -> Tuple[str, Dict[str, Any], float]:
-        cache_dir = str(self.stage_cache.root) if self.stage_cache.enabled else None
-        payload = _worker_payload(
-            spec,
-            cache_dir,
-            self.use_cache,
-            self.stage_cache.mmap_arrays,
-            warm_hint=warm_hint,
-        )
-        future = self._pool().submit(_run_scenario_worker, payload)
-        start = time.monotonic()
-        deadline = None if self.timeout_s is None else start + self.timeout_s
-        last_beat = start
-        while True:
-            finished, _ = wait([future], timeout=WAIT_TICK_S)
-            now = time.monotonic()
-            if now - last_beat >= self.heartbeat_s:
-                # Mid-point proof of life so siblings never adopt a row
-                # whose worker is merely slow.
-                self.store.heartbeat(self.campaign, [digest])
-                last_beat = now
-            if finished:
-                elapsed = now - start
-                try:
-                    status, record = future.result()
-                except BrokenProcessPool:
-                    self._kill_pool()
-                    return (
-                        "interrupted",
-                        {"error": "worker process died while the point was running"},
-                        elapsed,
-                    )
-                except Exception as exc:  # transport failures (unpicklable, ...)
-                    return (
-                        "error",
-                        {
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "traceback": traceback.format_exc(),
-                        },
-                        elapsed,
-                    )
-                if status == "ok":
-                    elapsed = float(record.get("runtime_s", elapsed))
-                return (status, record, elapsed)
-            if deadline is not None and now > deadline:
-                # Real watchdog: a hung child cannot be cancelled, so the
-                # single-process pool is terminated and rebuilt lazily.
-                self._kill_pool()
-                return (
-                    "timeout",
-                    {
-                        "error": (
-                            f"exceeded timeout_s={self.timeout_s:g} "
-                            "(worker terminated)"
-                        )
-                    },
-                    now - start,
-                )
+    def warm_hint(self, index: int) -> Optional[dict]:
+        return self.hints[index]
+
+    def start(self, index: int, attempt: int) -> None:
+        # The claim stamped the first attempt.  A retry re-stamps the row,
+        # which increments ``attempts`` and refreshes the heartbeat.
+        if attempt:
+            self.store.mark_running(
+                self.campaign, self.digests[index], lease_owner=self.worker_id
+            )
+
+    def done(self, index: int, record: dict, wall_time_s: float) -> None:
+        self.held.discard(index)
+        if self.store.mark_done(
+            self.campaign,
+            self.digests[index],
+            record,
+            wall_time_s=wall_time_s,
+            require_owner=self.worker_id,
+        ):
+            self.summary.done += 1
+            self.results.append(ScenarioResult.from_dict(record))
+        else:
+            self.summary.lost_leases += 1
+
+    def failed(self, index: int, status: str, message: str, retrying: bool) -> None:
+        if retrying:
+            # The row stays running under our lease through the backoff,
+            # so a stop signal can still hand it back.
+            self.summary.retried += 1
+            return
+        self.held.discard(index)
+        if status == STATUS_TIMED_OUT:
+            marked = self.store.mark_timed_out(
+                self.campaign, self.digests[index], message, require_owner=self.worker_id
+            )
+            self.summary.timed_out += marked
+        else:
+            marked = self.store.mark_failed(
+                self.campaign, self.digests[index], message, require_owner=self.worker_id
+            )
+            self.summary.failed += marked
+        self.summary.lost_leases += not marked
+
+    def stop(self, inflight: Sequence[int]) -> None:
+        # Graceful shutdown: hand every held claim straight back to the
+        # queue so a sibling picks it up without waiting for the lease to
+        # go stale.
+        for index in sorted(self.held):
+            if self.store.release(self.campaign, self.digests[index], self.worker_id):
+                self.summary.released += 1
+        self.held.clear()
 
 
 def run_worker(
@@ -506,16 +345,12 @@ def run_worker(
     use_cache = stage_cache.enabled
     worker_id = worker_id if worker_id is not None else default_lease_owner()
 
-    driver = _Worker(
-        campaign=campaign,
+    summary = WorkerSummary(campaign=campaign, worker_id=worker_id)
+    driver = _WorkerDriver(
         store=result_store,
+        campaign=campaign,
         worker_id=worker_id,
-        stage_cache=stage_cache,
-        use_cache=use_cache,
-        serial=serial,
-        retries=retries,
-        timeout_s=timeout_s,
-        retry_backoff_s=retry_backoff_s,
+        summary=summary,
         heartbeat_s=heartbeat_s,
         stale_after_s=stale_after_s,
         poll_s=poll_s,
@@ -523,38 +358,25 @@ def run_worker(
         wait_for_stragglers=wait_for_stragglers,
         warm_start=warm_start,
     )
-    summary = driver.summary
-
-    # Same signal discipline as run_batch: handlers only from the main
-    # thread, always restored.
-    installed_handlers = []
-    if threading.current_thread() is threading.main_thread():
-
-        def _stop_handler(signum: int, frame: object) -> None:
-            raise _StopRequested(signum)
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                installed_handlers.append((signum, signal.signal(signum, _stop_handler)))
-            except (ValueError, OSError):  # pragma: no cover - exotic platforms
-                pass
-
     start = time.perf_counter()
-    stopped = False
     try:
-        with span("worker", campaign=campaign, worker_id=worker_id):
-            driver.run()
+        with _stop_signals(), span("worker", campaign=campaign, worker_id=worker_id):
+            _drive_points(
+                driver,
+                (),
+                stage_cache,
+                use_cache,
+                processes=0 if serial else 1,
+                retries=retries,
+                timeout_s=timeout_s,
+                retry_backoff_s=retry_backoff_s,
+            )
     except _StopRequested as stop:
-        stopped = True
         summary.stopped_by_signal = stop.signum
     finally:
         summary.runtime_s = time.perf_counter() - start
-        for signum, previous in installed_handlers:
-            try:
-                signal.signal(signum, previous)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        driver.shutdown(terminate=stopped)
+        summary.stage_hits = count_stage_flags(driver.results, cached=True)
+        summary.stage_recomputes = count_stage_flags(driver.results, cached=False)
         if owns_store:
             result_store.close()
         # Fold this worker's pool-child trace shards into the merged trace

@@ -13,6 +13,7 @@ import json
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -55,6 +56,34 @@ def tiny_spec(name: str, solver: str = "greedy", n_modules: int = 2) -> Scenario
         time=TimeSpec(step_minutes=240.0, day_stride=45),
         solver=SolverSpec(name=solver),
     )
+
+
+def sudden_death_executor(killed: list, kill_limit: int):
+    """A ``ProcessPoolExecutor`` stand-in whose 'worker' dies for one point.
+
+    Submissions run in-process, except the first ``kill_limit`` ones of the
+    point named ``victim``: their futures fail with ``BrokenProcessPool``,
+    as after an OOM kill.  ``killed`` records each death.
+    """
+
+    class SuddenDeathExecutor:
+        def __init__(self, max_workers, initializer=None):
+            self.max_workers = max_workers
+
+        def submit(self, fn, payload):
+            future = Future()
+            name = payload[0]["name"]
+            if name == "victim" and len(killed) < kill_limit:
+                killed.append(name)
+                future.set_exception(BrokenProcessPool("simulated OOM kill"))
+            else:
+                future.set_result(fn(payload))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    return SuddenDeathExecutor
 
 
 @pytest.fixture()
@@ -352,34 +381,21 @@ class TestCampaignRun:
         assert (summary.done, summary.failed, summary.retried) == (0, 1, 2)
         assert store.point("camp", scenario_content_digest(spec)).attempts == 3
 
+    def test_retries_need_a_store(self, monkeypatch):
+        def no_store(*args, **kwargs):  # pragma: no cover - must never run
+            raise AssertionError("a store was opened")
+
+        monkeypatch.setattr(ResultStore, "__init__", no_store)
+        for store in (None, "none"):
+            with pytest.raises(ConfigurationError, match="retries"):
+                run_batch([tiny_spec("no-store")], store=store, retries=2, use_cache=False)
+
     def test_worker_death_fails_only_its_point(self, store, monkeypatch):
         """A dying worker process (BrokenProcessPool) is isolated and recovered."""
         from repro.runner import batch as batch_module
 
         killed = []
-
-        def make_executor(kill_limit):
-            class SuddenDeathExecutor:
-                """In-process stand-in whose 'worker' dies for one point."""
-
-                def __init__(self, max_workers, initializer=None):
-                    self.max_workers = max_workers
-
-                def submit(self, fn, payload):
-                    future = Future()
-                    name = payload[0]["name"]
-                    if name == "victim" and len(killed) < kill_limit:
-                        killed.append(name)
-                        future.set_exception(BrokenProcessPool("simulated OOM kill"))
-                    else:
-                        future.set_result(fn(payload))
-                    return future
-
-                def shutdown(self, wait=True, cancel_futures=False):
-                    pass
-
-            return SuddenDeathExecutor
-
+        make_executor = partial(sudden_death_executor, killed)
         specs = [tiny_spec("survivor"), tiny_spec("victim")]
 
         # A transient death: the casualty is re-enqueued on the rebuilt pool

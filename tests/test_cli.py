@@ -205,6 +205,9 @@ class TestCampaign:
         # The in-memory escape hatch still works.
         assert main(args[:-1] + ["none"]) == 0
         assert "campaign" not in capsys.readouterr().err
+        # ... but retries need a store to retry against.
+        assert main(args[:-1] + ["none", "--retries", "1"]) == 2
+        assert "retries only apply to store-backed batches" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro import faults
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ScenarioExecutionError
 from repro.gis import RoofSpec
 from repro.runner import (
     ResultStore,
@@ -35,8 +35,12 @@ from repro.runner import (
     scenario_content_digest,
     store_from_url,
 )
+from repro.runner import batch as batch_module
+from repro.runner import worker as worker_module
 from repro.runner.store import STATUS_DONE, STATUS_FAILED, STATUS_PENDING, STATUS_RUNNING
 from repro.scenario import ScenarioSpec, SolverSpec, TimeSpec, builtin_scenarios
+from repro.sweep import SweepAxis, SweepPlan, run_sweep
+from test_campaign import sudden_death_executor
 
 
 def tiny_spec(name: str, solver: str = "greedy", n_modules: int = 2) -> ScenarioSpec:
@@ -405,7 +409,10 @@ class TestRunWorker:
         with ResultStore(store_path) as store:
             record = store.point("fleet", scenario_content_digest(spec))
         assert record.status == "timed_out"
-        assert "timeout_s" in record.error
+        assert record.error == (
+            f"scenario 'overlong' (digest {record.digest[:12]}) failed: "
+            "timed out: exceeded wall-clock budget of 0.001s"
+        )
 
     def test_max_points_and_no_wait_bound_the_loop(self, tmp_path):
         specs = [tiny_spec(f"bounded-{i}") for i in range(3)]
@@ -505,6 +512,165 @@ class TestRunWorker:
             run_worker("x", store=tmp_path / "s.sqlite", poll_s=0.0)
         with pytest.raises(ConfigurationError, match="max_points"):
             run_worker("x", store=tmp_path / "s.sqlite", max_points=0)
+
+
+# ---------------------------------------------------------------------------
+# One engine: every driver runs a point's attempts the same way
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "plan, retries, timeout_s, dies, expected, error_tail",
+    [
+        pytest.param(
+            "solver.error:times=2", 2, None, False, (STATUS_DONE, 3, 2), None,
+            id="transient-error",
+        ),
+        pytest.param(
+            "solver.error:times=10", 1, None, False, (STATUS_FAILED, 2, 1), None,
+            id="exhausted-error",
+        ),
+        pytest.param(
+            None, 1, 0.001, False, ("timed_out", 2, 1),
+            "timed out: exceeded wall-clock budget of 0.001s",
+            id="timeout",
+        ),
+        pytest.param(
+            None, 0, None, True, (STATUS_FAILED, 2, 1),
+            "worker process died: simulated OOM kill",
+            id="child-death",
+        ),
+    ],
+)
+def test_campaign_and_worker_end_a_faulty_point_identically(
+    plan, retries, timeout_s, dies, expected, error_tail, tmp_path, monkeypatch
+):
+    """A ``run_batch`` campaign and a ``run_worker`` drain leave the same row:
+    status, attempts, retried count and the exact error text.  ``expected``
+    is ``(status, attempts, retried)``; a child death gets ``retries + 1``
+    free passes."""
+    if plan is not None:
+        monkeypatch.setenv(faults.FAULTS_ENV, plan)
+    if dies:
+        monkeypatch.setattr(
+            batch_module, "ProcessPoolExecutor", sudden_death_executor([], kill_limit=99)
+        )
+    spec = tiny_spec("victim")
+    digest = scenario_content_digest(spec)
+    knobs = dict(use_cache=False, retries=retries, timeout_s=timeout_s)
+
+    faults.configure(None)  # each driver arms a fresh plan from the environment
+    campaign_store = tmp_path / "campaign.sqlite"
+    batch = run_batch(
+        [spec], store=campaign_store, campaign="c", jobs=2 if dies else 1, **knobs
+    )
+    faults.configure(None)
+    fleet_store = tmp_path / "fleet.sqlite"
+    enroll(fleet_store, "c", [spec])
+    summary = run_worker("c", store=fleet_store, worker_id="w", serial=not dies, **knobs)
+
+    outcomes = []
+    drivers = ((campaign_store, batch.campaign.retried), (fleet_store, summary.retried))
+    for path, retried in drivers:
+        with ResultStore(path) as store:
+            row = store.point("c", digest)
+        outcomes.append((row.status, row.attempts, retried, row.error))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:3] == expected
+    error = outcomes[0][3]
+    if expected[0] == STATUS_DONE:
+        assert error is None
+    else:
+        assert error.startswith(f"scenario 'victim' (digest {digest[:12]}) failed: ")
+        if error_tail is not None:
+            assert error.endswith(error_tail)
+
+
+class TestProfilerHooks:
+    """The names the repo benchmark patches to time and trace points.
+
+    Its point clock wraps ``execute_point`` on ``repro.runner.batch`` and
+    ``repro.runner.worker``, and its tracer also ``run_scenario`` on batch
+    and ``run_worker`` on worker.  An attempt that bypassed those globals
+    would go untimed.
+    """
+
+    def test_patched_names_exist(self):
+        assert worker_module.execute_point is batch_module.execute_point
+        assert "execute_point" in worker_module.__all__
+        assert callable(batch_module.run_scenario)
+        assert callable(worker_module.run_worker)
+
+    @pytest.fixture()
+    def clock(self, monkeypatch):
+        calls = []
+        for module in (batch_module, worker_module):
+            original = module.execute_point
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "execute_point", counted)
+        return calls
+
+    def test_one_clocked_call_per_attempt_on_every_driver(self, tmp_path, monkeypatch, clock):
+        cache = tmp_path / "cache"
+        plan = SweepPlan(
+            name="clocked",
+            base=tiny_spec("clocked"),
+            axes=(SweepAxis("n_modules", (2, 4)),),
+        )
+        run_sweep(plan, cache=cache, parallel=False)
+        assert len(clock) == plan.n_points
+
+        # One injected solver error: the first point takes two attempts.
+        monkeypatch.setenv(faults.FAULTS_ENV, "solver.error:times=1")
+        specs = [tiny_spec(f"clocked-{i}") for i in range(2)]
+        store_path = tmp_path / "store.sqlite"
+        for drive in ("campaign", "worker"):
+            clock.clear()
+            faults.configure(None)
+            if drive == "campaign":
+                run_batch(
+                    specs,
+                    store=store_path,
+                    campaign=drive,
+                    parallel=False,
+                    use_cache=False,
+                    retries=1,
+                )
+            else:
+                enroll(store_path, drive, specs)
+                run_worker(drive, store=store_path, serial=True, use_cache=False, retries=1)
+            with ResultStore(store_path) as store:
+                attempts = [record.attempts for record in store.points(drive)]
+            assert attempts == [2, 1]
+            assert len(clock) == sum(attempts)
+
+    def test_in_memory_batch_opens_no_store_and_digests_only_failures(self, monkeypatch):
+        def no_store(*args, **kwargs):  # pragma: no cover - must never run
+            raise AssertionError("the in-memory path opened a store")
+
+        digests = []
+        real_digest = batch_module.scenario_content_digest
+
+        def counted_digest(spec):
+            digests.append(spec.name)
+            return real_digest(spec)
+
+        monkeypatch.setattr(ResultStore, "__init__", no_store)
+        monkeypatch.setattr(batch_module, "scenario_content_digest", counted_digest)
+        specs = [tiny_spec(f"memory-{i}") for i in range(3)]
+        run_batch(specs, parallel=False, use_cache=False)
+        assert digests == []
+
+        monkeypatch.setenv(faults.FAULTS_ENV, "solver.error:times=1")
+        faults.configure(None)
+        with pytest.raises(ScenarioExecutionError) as raised:
+            run_batch(specs, parallel=False, use_cache=False)
+        assert raised.value.digest == real_digest(specs[0])
+        assert set(digests) == {"memory-0"}
 
 
 # ---------------------------------------------------------------------------
